@@ -14,7 +14,9 @@
 // per solve — the number the Anderson acceleration work is tracked by),
 // and — for the simulator Step benchmarks — the derived simulated cycles
 // per second (1e9 / ns_per_op), the headline number the event-driven
-// hot-loop rework is tracked by.
+// hot-loop rework is tracked by. B/op and allocs/op are recorded only when
+// the bench line carries them (run with -benchmem); an unmeasured field is
+// left out of the JSON rather than written as 0.
 package main
 
 import (
@@ -37,10 +39,12 @@ type Benchmark struct {
 	Name       string  `json:"name"`
 	Iterations int64   `json:"iterations"`
 	NsPerOp    float64 `json:"ns_per_op"`
-	// BytesPerOp and AllocsPerOp are always emitted (no omitempty): zero
-	// allocations is the load-bearing value for the hot-loop benchmarks.
-	BytesPerOp  float64 `json:"bytes_per_op"`
-	AllocsPerOp float64 `json:"allocs_per_op"`
+	// BytesPerOp and AllocsPerOp are set only when the line measured them
+	// (-benchmem or b.ReportAllocs): an absent field was not measured,
+	// while a measured zero is written as 0 — the load-bearing value for
+	// the allocation-free hot loops.
+	BytesPerOp  *float64 `json:"bytes_per_op,omitempty"`
+	AllocsPerOp *float64 `json:"allocs_per_op,omitempty"`
 	// ItersPerOp is the custom iters/op metric reported by the
 	// BenchmarkSolve* family: fixed-point substitution rounds per op.
 	ItersPerOp float64 `json:"iters_per_op,omitempty"`
@@ -168,9 +172,9 @@ func parseLine(line string) (Benchmark, bool) {
 			b.NsPerOp = val
 			sawNs = true
 		case "B/op":
-			b.BytesPerOp = val
+			b.BytesPerOp = &val
 		case "allocs/op":
-			b.AllocsPerOp = val
+			b.AllocsPerOp = &val
 		case "iters/op":
 			b.ItersPerOp = val
 		}

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"encoding/json"
 	"strings"
 	"testing"
 )
@@ -31,8 +32,11 @@ func TestParseExtractsBenchmarks(t *testing.T) {
 	if step.Name != "BenchmarkSimulatorStep" || step.Iterations != 3247651 {
 		t.Errorf("step benchmark = %+v", step)
 	}
+	if step.BytesPerOp == nil || step.AllocsPerOp == nil {
+		t.Fatalf("step benchmark lost its measured B/op or allocs/op: %+v", step)
+	}
 	//lint:ignore floateq strconv round-trips the literal text exactly
-	if step.NsPerOp != 931.2 || step.BytesPerOp != 6 || step.AllocsPerOp != 0 {
+	if step.NsPerOp != 931.2 || *step.BytesPerOp != 6 || *step.AllocsPerOp != 0 {
 		t.Errorf("step metrics = %+v", step)
 	}
 	// A Step benchmark advances one simulated cycle per iteration, so the
@@ -68,5 +72,40 @@ func TestParseIgnoresNonResultLines(t *testing.T) {
 	}
 	if len(e.Benchmarks) != 0 {
 		t.Fatalf("parsed %d benchmarks from junk, want 0", len(e.Benchmarks))
+	}
+}
+
+// marshalLine parses one bench line and returns its JSON encoding.
+func marshalLine(t *testing.T, line string) string {
+	t.Helper()
+	b, ok := parseLine(line)
+	if !ok {
+		t.Fatalf("parseLine(%q) rejected the line", line)
+	}
+	data, err := json.Marshal(b)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return string(data)
+}
+
+// TestUnmeasuredAllocsOmitted: a line run without -benchmem carries no
+// B/op or allocs/op, and the entry must not claim a zero it never measured.
+func TestUnmeasuredAllocsOmitted(t *testing.T) {
+	got := marshalLine(t, "BenchmarkSolve/hotspot-2d-2 \t 5 \t 1362459 ns/op")
+	for _, key := range []string{"bytes_per_op", "allocs_per_op"} {
+		if strings.Contains(got, key) {
+			t.Errorf("unmeasured %s written: %s", key, got)
+		}
+	}
+}
+
+// TestMeasuredZeroAllocsWritten: a measured zero is a result and is kept.
+func TestMeasuredZeroAllocsWritten(t *testing.T) {
+	got := marshalLine(t, "BenchmarkSimulatorStep \t 100 \t 913 ns/op \t 0 B/op \t 0 allocs/op")
+	for _, key := range []string{`"bytes_per_op":0`, `"allocs_per_op":0`} {
+		if !strings.Contains(got, key) {
+			t.Errorf("measured zero %s missing: %s", key, got)
+		}
 	}
 }

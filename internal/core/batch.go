@@ -15,7 +15,8 @@ import (
 
 // PreparedSolver is a reusable solver instance: validated and prepared
 // once, re-solvable for many offered loads. It is not safe for concurrent
-// use — the state buffer is shared across solves.
+// use — the state buffer and the solver's round scratch are shared across
+// solves.
 type PreparedSolver struct {
 	name string
 	s    Solver

@@ -75,6 +75,15 @@ type biModel struct {
 	pHy, pHyB, pX   float64
 	cXo, cXHy, cXHb float64
 	rows            []biRow // the k x-rings classified by y direction/distance
+
+	// Per-solver scratch for Iterate, allocated in Prepare and rewritten
+	// every round: iv is the 1-indexed view of the input state;
+	// bHyAt[dir][l] and bXAt[dir][row][l] hold the round's blocking delay
+	// on hot-column channel l and on x-channel l of a row, computed once
+	// for the class averages and read back by the hot-spot recursions.
+	iv    *biView
+	bHyAt [2][]float64
+	bXAt  [2][][]float64
 }
 
 // biRow classifies one x-ring relative to the hot node: dir/dist of the
@@ -144,6 +153,14 @@ func (m *biModel) Prepare() {
 		}
 	}
 	m.n = b.Size()
+	m.iv = m.view(make([]float64, m.n))
+	for i := 0; i < 2; i++ {
+		m.bHyAt[i] = make([]float64, m.d[i]+1)
+		m.bXAt[i] = make([][]float64, len(m.rows))
+		for r := range m.rows {
+			m.bXAt[i][r] = make([]float64, m.d[i]+1)
+		}
+	}
 	m.prepared = true
 	m.SetLambda(m.p.Lambda)
 }
@@ -178,9 +195,9 @@ func (m *biModel) SetLambda(lambda float64) {
 func (m *biModel) Validate() error { return m.p.Validate() }
 func (m *biModel) StateSize() int  { return m.n }
 
-// view unpacks a flat state into 1-indexed vectors.
+// view unpacks a flat state into fresh 1-indexed vectors.
 func (m *biModel) view(x []float64) *biView {
-	st := &biView{} //lint:ignore hotalloc per-round view unpacking, an accepted solver cost (the 0-alloc contract covers sim and telemetry)
+	st := &biView{}
 	for i := 0; i < 2; i++ {
 		st.shybar[i] = m.l.shybar[i].padded(x)
 		st.shy[i] = m.l.shy[i].padded(x)
@@ -188,12 +205,27 @@ func (m *biModel) view(x []float64) *biView {
 		st.sxhy[i] = m.l.sxhy[i].padded(x)
 		st.sxhybar[i] = m.l.sxhybar[i].padded(x)
 		st.shoty[i] = m.l.shoty[i].padded(x)
-		st.shotx[i] = make([][]float64, len(m.rows)) //lint:ignore hotalloc per-round view unpacking, an accepted solver cost
+		st.shotx[i] = make([][]float64, len(m.rows))
 		for r := range m.rows {
 			st.shotx[i][r] = m.l.shotx[i][r].padded(x)
 		}
 	}
 	return st
+}
+
+// fill rewrites a view made by view in place from the state x.
+func (m *biModel) fill(st *biView, x []float64) {
+	for i := 0; i < 2; i++ {
+		m.l.shybar[i].fill(st.shybar[i], x)
+		m.l.shy[i].fill(st.shy[i], x)
+		m.l.sx[i].fill(st.sx[i], x)
+		m.l.sxhy[i].fill(st.sxhy[i], x)
+		m.l.sxhybar[i].fill(st.sxhybar[i], x)
+		m.l.shoty[i].fill(st.shoty[i], x)
+		for r := range m.rows {
+			m.l.shotx[i][r].fill(st.shotx[i][r], x)
+		}
+	}
 }
 
 // InitState writes the zero-load starting point.
@@ -247,7 +279,8 @@ func (m *biModel) yNext(st *biView, r int) float64 {
 //khs:hotpath
 func (m *biModel) Iterate(in, out []float64) error {
 	k := m.p.K
-	st := m.view(in)
+	st := m.iv
+	m.fill(st, in)
 
 	entHyB := m.entrance(st.shybar)
 	entHy := m.entrance(st.shy)
@@ -268,6 +301,7 @@ func (m *biModel) Iterate(in, out []float64) error {
 			if err != nil {
 				return fmt.Errorf("%w (bi hot column, dir %d ch %d)", ErrSaturated, i, l)
 			}
+			m.bHyAt[i][l] = b
 			sum += b
 		}
 		bQuiet, err := m.blocking(m.r[i], entHy, 0, 0)
@@ -283,6 +317,7 @@ func (m *biModel) Iterate(in, out []float64) error {
 				if err != nil {
 					return fmt.Errorf("%w (bi x, dir %d row %d ch %d)", ErrSaturated, i, r, l)
 				}
+				m.bXAt[i][r][l] = b
 				sum += b
 			}
 		}
@@ -306,24 +341,15 @@ func (m *biModel) Iterate(in, out []float64) error {
 			m.l.sx[i].put(out, j, 1+bX[i]+prev(st.sx[i], m.lm))
 			m.l.sxhy[i].put(out, j, 1+bX[i]+prev(st.sxhy[i], entHy))
 			m.l.sxhybar[i].put(out, j, 1+bX[i]+prev(st.sxhybar[i], entHyB))
-
-			b, err := m.blocking(m.r[i], entHy, m.hy[i][j], st.shoty[i][j])
-			if err != nil {
-				return fmt.Errorf("%w (bi hot y recursion, dir %d ch %d)", ErrSaturated, i, j)
-			}
-			m.l.shoty[i].put(out, j, 1+b+prev(st.shoty[i], m.lm))
+			m.l.shoty[i].put(out, j, 1+m.bHyAt[i][j]+prev(st.shoty[i], m.lm))
 		}
 		for r := range m.rows {
 			for j := 1; j <= m.d[i]; j++ {
-				b, err := m.blocking(m.r[i], entXmix, m.hx[i][j], st.shotx[i][r][j])
-				if err != nil {
-					return fmt.Errorf("%w (bi hot x recursion, dir %d row %d ch %d)", ErrSaturated, i, r, j)
-				}
 				base := m.yNext(st, r)
 				if j > 1 {
 					base = st.shotx[i][r][j-1]
 				}
-				m.l.shotx[i][r].put(out, j, 1+b+base)
+				m.l.shotx[i][r].put(out, j, 1+m.bXAt[i][r][j]+base)
 			}
 		}
 	}

@@ -257,6 +257,15 @@ type model struct {
 	cXo      float64 // P(x only | via x)
 	cXHy     float64 // P(x then hot y | via x)
 	cXHb     float64 // P(x then non-hot y | via x)
+
+	// Per-solver scratch for Iterate, allocated in Prepare and rewritten
+	// every round: iv is the 1-indexed view of the input state; bHyAt[l]
+	// and bXAt[t][l] hold the round's blocking delay on hot y-ring
+	// channel l and on channel l of x-ring t, computed once for the class
+	// averages and read back by the hot-spot recursions.
+	iv    view
+	bHyAt []float64
+	bXAt  [][]float64
 }
 
 func newModel(p Params, o Options) *model {
@@ -285,6 +294,12 @@ func (m *model) Prepare() {
 	m.cXo = 1 / kf
 	m.cXHy = (kf - 1) / (kf * kf)
 	m.cXHb = (kf - 1) * (kf - 1) / (kf * kf)
+	m.iv = m.view(make([]float64, m.l.size))
+	m.bHyAt = make([]float64, k+1)
+	m.bXAt = make([][]float64, k+1)
+	for t := 1; t <= k; t++ {
+		m.bXAt[t] = make([]float64, k+1)
+	}
 	m.prepared = true
 	m.SetLambda(m.p.Lambda)
 }
@@ -331,7 +346,7 @@ func (m *model) entrance(s []float64) float64 {
 
 // serviceVariance returns the service-time variance for the waiting-time
 // formulas under the configured VarianceForm.
-func serviceVariance(o Options, lm, sBar float64) float64 {
+func serviceVariance(o *Options, lm, sBar float64) float64 {
 	if o.Variance == VarianceZero {
 		return 0
 	}
@@ -345,7 +360,7 @@ func serviceVariance(o Options, lm, sBar float64) float64 {
 // the class rates are divided by V unless NoVCSplit is set: the header
 // competes for one of the V virtual channels, each seeing 1/V of the
 // channel's traffic.
-func blockingDelay(o Options, v int, lm, lr, sr, lh, sh float64) (float64, error) {
+func blockingDelay(o *Options, v int, lm, lr, sr, lh, sh float64) (float64, error) {
 	// The physical channel moves at most one flit per cycle; beyond that
 	// flit capacity no queueing treatment is meaningful.
 	if (lr+lh)*lm >= 1 {
@@ -375,8 +390,7 @@ func blockingDelay(o Options, v int, lm, lr, sr, lh, sh float64) (float64, error
 		if rho > 1 {
 			rho = 1
 		}
-		occ := vcmodel.Occupancy(v, rho*(1-1e-12)) // Eqs. 33-34
-		return occ[v] * w, nil
+		return vcmodel.Busy(v, rho*(1-1e-12)) * w, nil // Eqs. 33-34
 	case BlockingWaitOnly:
 		if !o.NoVCSplit {
 			total /= float64(v)
@@ -397,14 +411,15 @@ func blockingDelay(o Options, v int, lm, lr, sr, lh, sh float64) (float64, error
 	}
 }
 
-// unpack gives named 1-indexed views (position 0 unused) over the state.
+// view gives named 1-indexed views (position 0 unused) over the state.
 type view struct {
 	shybar, shy, sx, sxhy, sxhybar, shoty []float64
 	shotx                                 [][]float64 // [t][j], 1-indexed
 }
 
+// view returns fresh 1-indexed copies of the state's segments.
 func (m *model) view(x []float64) view {
-	k := m.p.K
+	k := m.l.k
 	v := view{
 		shybar:  m.l.shybar.padded(x),
 		shy:     m.l.shy.padded(x),
@@ -413,11 +428,24 @@ func (m *model) view(x []float64) view {
 		sxhybar: m.l.sxhybar.padded(x),
 		shoty:   m.l.shoty.padded(x),
 	}
-	v.shotx = make([][]float64, k+1) //lint:ignore hotalloc per-round view unpacking, an accepted solver cost (the 0-alloc contract covers sim and telemetry)
+	v.shotx = make([][]float64, k+1)
 	for t := 1; t <= k; t++ {
 		v.shotx[t] = m.l.shotx[t].padded(x)
 	}
 	return v
+}
+
+// fill rewrites a view made by view in place from the state x.
+func (m *model) fill(v *view, x []float64) {
+	m.l.shybar.fill(v.shybar, x)
+	m.l.shy.fill(v.shy, x)
+	m.l.sx.fill(v.sx, x)
+	m.l.sxhy.fill(v.sxhy, x)
+	m.l.sxhybar.fill(v.sxhybar, x)
+	m.l.shoty.fill(v.shoty, x)
+	for t := 1; t <= m.l.k; t++ {
+		m.l.shotx[t].fill(v.shotx[t], x)
+	}
 }
 
 // Iterate is the fixed-point map: out = F(in), the simultaneous
@@ -426,7 +454,8 @@ func (m *model) view(x []float64) view {
 //khs:hotpath
 func (m *model) Iterate(in, out []float64) error {
 	k := m.p.K
-	v := m.view(in)
+	v := &m.iv
+	m.fill(v, in)
 
 	entHyB := m.entrance(v.shybar)
 	entHy := m.entrance(v.shy)
@@ -451,6 +480,7 @@ func (m *model) Iterate(in, out []float64) error {
 		if err != nil {
 			return fmt.Errorf("%w (hot y-ring, channel %d)", ErrSaturated, l)
 		}
+		m.bHyAt[l] = b
 		bHy += b
 	}
 	bHy /= float64(k)
@@ -467,6 +497,7 @@ func (m *model) Iterate(in, out []float64) error {
 			if err != nil {
 				return fmt.Errorf("%w (x-ring %d, channel %d)", ErrSaturated, t, l)
 			}
+			m.bXAt[t][l] = b
 			bX += b
 		}
 	}
@@ -497,25 +528,18 @@ func (m *model) Iterate(in, out []float64) error {
 	}
 
 	// Hot-spot recursion in the hot ring (Eq. 23): position j is also the
-	// remaining hop count, so the blocking uses the position's own rates.
+	// remaining hop count, so the hop's blocking is channel j's, already
+	// evaluated for the Eq. 17 average.
 	for j := 1; j <= k-1; j++ {
-		b, err := m.blocking(m.lr, entHy, m.lhy[j], v.shoty[j])
-		if err != nil {
-			return fmt.Errorf("%w (hot message, hot ring channel %d)", ErrSaturated, j)
-		}
 		next := m.lm
 		if j > 1 {
 			next = v.shoty[j-1]
 		}
-		put(m.l.shoty, j, 1+b+next)
+		put(m.l.shoty, j, 1+m.bHyAt[j]+next)
 	}
 	// Hot-spot recursion on x-rings (Eq. 25).
 	for t := 1; t <= k; t++ {
 		for j := 1; j <= k-1; j++ {
-			b, err := m.blocking(m.lr, entXmix, m.lhx[j], v.shotx[t][j])
-			if err != nil {
-				return fmt.Errorf("%w (hot message, x-ring %d channel %d)", ErrSaturated, t, j)
-			}
 			var next float64
 			switch {
 			case j > 1:
@@ -525,7 +549,7 @@ func (m *model) Iterate(in, out []float64) error {
 			default: // enter the hot ring t hops from the hot node
 				next = v.shoty[t]
 			}
-			m.l.shotx[t].put(out, j, 1+b+next)
+			m.l.shotx[t].put(out, j, 1+m.bXAt[t][j]+next)
 		}
 	}
 	return nil

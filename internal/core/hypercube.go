@@ -97,6 +97,10 @@ type hyperModel struct {
 	// pHotChan[d] = fraction of dim-d channels that are hot channels,
 	// 2^(n-1-d) of 2^n.
 	pHotChan []float64
+	// next[d][d2] and done[d] are the spec-invariant continuation weights
+	// after crossing dimension d (see nextWeights).
+	next [][]float64
+	done []float64
 }
 
 func newHyperModel(p HypercubeParams, o Options) *hyperModel {
@@ -113,8 +117,11 @@ func (m *hyperModel) Prepare() {
 		}
 		m.lh = make([]float64, n)
 		m.pHotChan = make([]float64, n)
+		m.next = make([][]float64, n)
+		m.done = make([]float64, n)
 		for d := 0; d < n; d++ {
 			m.pHotChan[d] = math.Pow(2, float64(-1-d))
+			m.next[d], m.done[d] = m.nextWeights(d)
 		}
 		m.prepared = true
 	}
@@ -162,7 +169,7 @@ func (m *hyperModel) InitState(x []float64) {
 // independently with probability 1/2 for uniform (and hot) destinations.
 func (m *hyperModel) nextWeights(d int) (next []float64, done float64) {
 	n := m.p.N
-	next = make([]float64, n) //lint:ignore hotalloc per-hop weight vector of length n, an accepted solver cost
+	next = make([]float64, n)
 	rem := 1.0
 	for d2 := d + 1; d2 < n; d2++ {
 		next[d2] = rem / 2
@@ -185,8 +192,14 @@ func (m *hyperModel) Iterate(in, out []float64) error {
 	}
 	srMean /= float64(n)
 
+	// Channels off the hot tree carry regular traffic only; their
+	// blocking is the same in every dimension.
+	bQuiet, err := m.blocking(m.lu, srMean, 0, 0)
+	if err != nil {
+		return fmt.Errorf("%w (hypercube quiet channel)", ErrSaturated)
+	}
 	for d := 0; d < n; d++ {
-		next, done := m.nextWeights(d)
+		next, done := m.next[d], m.done[d]
 		// Continuation after crossing dimension d.
 		contHot := done * m.lm
 		contReg := done * m.lm
@@ -202,17 +215,8 @@ func (m *hyperModel) Iterate(in, out []float64) error {
 		}
 		out[d] = 1 + bHot + contHot
 		// A regular message crosses a hot channel of dim d with
-		// probability pHotChan[d]; otherwise the channel carries regular
-		// traffic only.
-		bShared, err := m.blocking(m.lu, srMean, m.lh[d], sh[d])
-		if err != nil {
-			return fmt.Errorf("%w (hypercube shared channel, dim %d)", ErrSaturated, d)
-		}
-		bQuiet, err := m.blocking(m.lu, srMean, 0, 0)
-		if err != nil {
-			return fmt.Errorf("%w (hypercube quiet channel, dim %d)", ErrSaturated, d)
-		}
-		bReg := m.pHotChan[d]*bShared + (1-m.pHotChan[d])*bQuiet
+		// probability pHotChan[d]; otherwise it sees the quiet blocking.
+		bReg := m.pHotChan[d]*bHot + (1-m.pHotChan[d])*bQuiet
 		out[n+d] = 1 + bReg + contReg
 	}
 	return nil

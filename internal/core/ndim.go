@@ -222,29 +222,25 @@ func (m *ndimModel) Iterate(in, out []float64) error {
 	k, n := m.p.K, m.p.N
 	for d := 0; d < n; d++ {
 		entReg := m.regEntrance(in, d)
-		// Hot recursion.
-		for j := 1; j <= k-1; j++ {
-			b, err := m.blocking(m.lr, entReg, m.lh[d][j], in[m.hotIdx(d, j)])
-			if err != nil {
-				return fmt.Errorf("%w (ndim hot, dim %d ch %d)", ErrSaturated, d, j)
-			}
-			next := m.cont(in, d, true)
-			if j > 1 {
-				next = in[m.hotIdx(d, j-1)]
-			}
-			out[m.hotIdx(d, j)] = 1 + b + next
-		}
-		// Regular recursion: the blocking is the hot-tree-weighted average
-		// over the dimension's channels (a fraction k^-(d+1) of them sit
-		// at each hot position j).
+		// Each hot position's channel blocking drives both recursions: the
+		// hot message's own hop, and the regular message's
+		// hot-tree-weighted average over the dimension's channels (a
+		// fraction k^-(d+1) of them sit at each hot position j).
 		pHot := math.Pow(float64(k), -float64(d+1))
 		bAvg := 0.0
 		for j := 1; j <= k-1; j++ {
 			b, err := m.blocking(m.lr, entReg, m.lh[d][j], in[m.hotIdx(d, j)])
 			if err != nil {
-				return fmt.Errorf("%w (ndim shared, dim %d ch %d)", ErrSaturated, d, j)
+				return fmt.Errorf("%w (ndim hot, dim %d ch %d)", ErrSaturated, d, j)
 			}
 			bAvg += pHot * b
+			var next float64
+			if j == 1 {
+				next = m.cont(in, d, true)
+			} else {
+				next = in[m.hotIdx(d, j-1)]
+			}
+			out[m.hotIdx(d, j)] = 1 + b + next
 		}
 		bQuiet, err := m.blocking(m.lr, entReg, 0, 0)
 		if err != nil {
@@ -252,8 +248,10 @@ func (m *ndimModel) Iterate(in, out []float64) error {
 		}
 		bAvg += (1 - float64(k-1)*pHot) * bQuiet
 		for b := 1; b <= k-1; b++ {
-			next := m.cont(in, d, false)
-			if b > 1 {
+			var next float64
+			if b == 1 {
+				next = m.cont(in, d, false)
+			} else {
 				next = in[m.regIdx(d, b-1)]
 			}
 			out[m.regIdx(d, b)] = 1 + bAvg + next

@@ -262,3 +262,30 @@ func TestFactoryCompatibility(t *testing.T) {
 		}
 	}
 }
+
+// TestIterateSteadyStateAllocFree pins the solvers' round allocation
+// contract: once Prepare has sized the per-solver scratch, a fixed-point
+// round (Iterate) allocates nothing, for every registered variant.
+func TestIterateSteadyStateAllocFree(t *testing.T) {
+	for _, name := range Solvers() {
+		s, err := NewSolver(name, goldenSpec(name), Options{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		s.Prepare()
+		in := make([]float64, s.StateSize())
+		out := make([]float64, len(in))
+		s.InitState(in)
+		if err := s.Iterate(in, out); err != nil {
+			t.Fatalf("%s: Iterate: %v", name, err)
+		}
+		n := testing.AllocsPerRun(100, func() {
+			if err := s.Iterate(in, out); err != nil {
+				t.Fatal(err)
+			}
+		})
+		if !stats.IsZero(n) {
+			t.Errorf("%s: Iterate allocates %v objects/round, want 0", name, n)
+		}
+	}
+}

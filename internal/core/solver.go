@@ -34,6 +34,10 @@ type Convergence = fixpoint.Convergence
 // solver can therefore be re-solved for many loads — the shape of sweeps,
 // surface builds, and batch requests — without repeating the setup; see
 // PreparedSolver and SolveBatch in batch.go.
+//
+// Iterate writes into per-solver scratch that Prepare sizes once (state
+// views, per-channel blocking delays), so a round allocates nothing and a
+// Solver, like a PreparedSolver, is not safe for concurrent use.
 type Solver interface {
 	// Validate reports the first problem with the solver's parameters; the
 	// driver calls it before touching any state.
@@ -53,7 +57,8 @@ type Solver interface {
 	// x, which has length StateSize.
 	InitState(x []float64)
 	// Iterate is the substitution map out = F(in) (a fixpoint.Map).
-	// Implementations wrap blocking failures in ErrSaturated.
+	// Implementations wrap blocking failures in ErrSaturated. It makes no
+	// heap allocation: its scratch belongs to the solver.
 	Iterate(in, out []float64) error
 	// Assemble computes the variant's result from the converged state; the
 	// convergence summary must be propagated into the result.
@@ -144,10 +149,10 @@ func newSolverBase(o Options, v, lm int) solverBase {
 // blocking composes Eqs. 26-30 for a channel carrying regular traffic
 // (lr, sr) and hot-spot traffic (lh, sh) under the configured form.
 func (b *solverBase) blocking(lr, sr, lh, sh float64) (float64, error) {
-	return blockingDelay(b.o, b.v, b.lm, lr, sr, lh, sh)
+	return blockingDelay(&b.o, b.v, b.lm, lr, sr, lh, sh)
 }
 
 // variance is the service-time variance under the configured VarianceForm.
 func (b *solverBase) variance(sBar float64) float64 {
-	return serviceVariance(b.o, b.lm, sBar)
+	return serviceVariance(&b.o, b.lm, sBar)
 }

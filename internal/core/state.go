@@ -27,10 +27,14 @@ func (b *vecBuilder) Size() int { return b.size }
 // padded returns a 1-indexed copy of the segment (index 0 unused), the
 // shape the service-time recursions are written in.
 func (s seg) padded(x []float64) []float64 {
-	out := make([]float64, s.n+1) //lint:ignore hotalloc 1-indexed copies are the view representation, an accepted solver cost
-	copy(out[1:], x[s.off:s.off+s.n])
+	out := make([]float64, s.n+1)
+	s.fill(out, x)
 	return out
 }
+
+// fill copies the segment into dst[1:], the in-place form of padded for a
+// 1-indexed buffer reused across rounds.
+func (s seg) fill(dst, x []float64) { copy(dst[1:], x[s.off:s.off+s.n]) }
 
 // put stores v at the segment's 1-indexed position j.
 func (s seg) put(x []float64, j int, v float64) { x[s.off+j-1] = v }

@@ -39,9 +39,12 @@ import (
 	"kncube/internal/telemetry/span"
 )
 
-// SolveRequest is the POST /v1/solve body. Zero-valued spec fields keep
-// the selected variant's natural defaults exactly as the core registry
-// defines them; validation failures come back as structured FieldIssues.
+// SolveRequest is the POST /v1/solve body. Spec fields go to the core
+// registry as given: a zero Dims (and, for the hypercube, a zero K)
+// selects the variant's natural default, while every other zero field is
+// validated as sent — an omitted v, lm or lambda is a 400 for
+// hotspot-2d, and an omitted h means no hot-spot traffic. Validation
+// failures come back as structured FieldIssues.
 type SolveRequest struct {
 	// Model is a registry name (core.Solvers); empty selects "hotspot-2d".
 	Model string `json:"model,omitempty"`
@@ -232,7 +235,9 @@ type BatchSolveRequest struct {
 }
 
 // BatchSpec is one spec in a batch request, mirroring the spec fields of
-// SolveRequest (zero fields keep the variant's natural defaults).
+// SolveRequest and their zero-value rules (only Dims, and the
+// hypercube's K, have defaults; an omitted v fails the item for
+// hotspot-2d).
 type BatchSpec struct {
 	K      int     `json:"k,omitempty"`
 	Dims   int     `json:"dims,omitempty"`

@@ -47,11 +47,22 @@ func Degree(v int, lambda, s float64) (float64, error) {
 	if rho >= 1 {
 		return float64(v), nil
 	}
-	p := Occupancy(v, rho)
+	// Two passes over the Eq. 33 recurrence: the first accumulates the
+	// normaliser in Occupancy's index order, the second regenerates each
+	// q_i and weights P_i = q_i / sum, so the sums match an
+	// Occupancy-based evaluation bit for bit without the vector.
+	_, sum := chain(v, rho)
 	var num, den float64
+	q := 1.0
 	for i := 1; i <= v; i++ {
-		num += float64(i*i) * p[i]
-		den += float64(i) * p[i]
+		if i < v {
+			q *= rho
+		} else {
+			q = q * rho / (1 - rho)
+		}
+		p := q / sum
+		num += float64(i*i) * p
+		den += float64(i) * p
 	}
 	if stats.IsZero(den) {
 		return 1, nil
@@ -59,10 +70,32 @@ func Degree(v int, lambda, s float64) (float64, error) {
 	return num / den, nil
 }
 
+// chain runs the Eq. 33 recurrence for v >= 1 virtual channels at
+// utilisation rho in [0, 1), returning the unnormalised top occupancy q_V
+// and the normaliser Σ q_i accumulated in index order.
+func chain(v int, rho float64) (top, sum float64) {
+	q := 1.0
+	sum = q
+	for i := 1; i < v; i++ {
+		q *= rho
+		sum += q
+	}
+	top = q * rho / (1 - rho)
+	return top, sum + top
+}
+
+// Busy returns P_V, the probability that all v >= 1 virtual channels are
+// busy at utilisation rho in [0, 1) (Eq. 34) — Occupancy(v, rho)[v], bit
+// for bit, without building the distribution.
+func Busy(v int, rho float64) float64 {
+	top, sum := chain(v, rho)
+	return top / sum
+}
+
 // Occupancy returns the stationary distribution P_0..P_V of the number of
 // busy virtual channels for utilisation rho = lambda*s in [0, 1).
 func Occupancy(v int, rho float64) []float64 {
-	q := make([]float64, v+1) //lint:ignore hotalloc occupancy vector per blocking evaluation, an accepted solver cost
+	q := make([]float64, v+1)
 	q[0] = 1
 	for i := 1; i < v; i++ {
 		q[i] = q[i-1] * rho

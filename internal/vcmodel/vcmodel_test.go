@@ -158,3 +158,50 @@ func TestScaleLatency(t *testing.T) {
 		t.Errorf("ScaleLatency = %v", got)
 	}
 }
+
+// bitRhos spans idle to the 1-1e-12 ceiling the solvers' blocking form
+// evaluates at, with irregular mantissas in between.
+func bitRhos() []float64 {
+	rhos := []float64{1e-300, 1e-12, 1e-6, 1e-3, 0.1, 1.0 / 3, 0.5, 0.7, 0.9, 0.99, 0.999999, 1 - 1e-9, 1 - 1e-12}
+	for i := 1; i < 200; i++ {
+		rhos = append(rhos, float64(i)/200*(1-1e-12), math.Sqrt(float64(i)/200))
+	}
+	return rhos
+}
+
+// TestBusyMatchesOccupancy: Busy is Occupancy's top entry, bit for bit.
+func TestBusyMatchesOccupancy(t *testing.T) {
+	for v := 1; v <= 16; v++ {
+		for _, rho := range bitRhos() {
+			got, want := Busy(v, rho), Occupancy(v, rho)[v]
+			if math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("Busy(%d, %v) = %v, Occupancy top = %v", v, rho, got, want)
+			}
+		}
+	}
+}
+
+// TestDegreeMatchesOccupancyReference: the in-place Degree reproduces the
+// Eq. 35 ratio computed from the Occupancy vector, bit for bit.
+func TestDegreeMatchesOccupancyReference(t *testing.T) {
+	reference := func(v int, rho float64) float64 {
+		p := Occupancy(v, rho)
+		var num, den float64
+		for i := 1; i <= v; i++ {
+			num += float64(i*i) * p[i]
+			den += float64(i) * p[i]
+		}
+		return num / den
+	}
+	for v := 1; v <= 16; v++ {
+		for _, rho := range bitRhos() {
+			got, err := Degree(v, rho, 1)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := reference(v, rho); math.Float64bits(got) != math.Float64bits(want) {
+				t.Errorf("Degree(%d, %v) = %v, Occupancy reference %v", v, rho, got, want)
+			}
+		}
+	}
+}
