@@ -72,7 +72,7 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 		// Fixed-point iteration knobs (DESIGN.md §10). "none" keeps the
 		// damped baseline bit-identical to an unset flag.
 		accel    = fs.String("accel", "none", "fixed-point acceleration scheme for the model solves: none, anderson, aitken")
-		accelWin = fs.Int("accel-window", 0, "Anderson mixing window, past residual differences combined per round (0 = solver default; requires -accel anderson)")
+		accelWin = fs.Int("accel-window", 0, fmt.Sprintf("Anderson mixing window, past residual differences combined per round (0 = solver default, at most %d; requires -accel anderson)", fixpoint.MaxWindow))
 		// Observability (DESIGN.md §7).
 		logFormat  = fs.String("log-format", "text", "structured log format for progress/status lines: text or json")
 		manifest   = fs.String("manifest", "", "write one JSONL run-manifest record per simulation job to this file")
@@ -104,8 +104,8 @@ func run(ctx context.Context, args []string, stdout, stderr io.Writer) error {
 	if err != nil {
 		return fmt.Errorf("-accel: %w", err)
 	}
-	if *accelWin < 0 {
-		return fmt.Errorf("-accel-window must be non-negative, got %d", *accelWin)
+	if *accelWin < 0 || *accelWin > fixpoint.MaxWindow {
+		return fmt.Errorf("-accel-window must be non-negative and at most %d, got %d", fixpoint.MaxWindow, *accelWin)
 	}
 	if *accelWin > 0 && scheme != fixpoint.AccelAnderson {
 		return fmt.Errorf("-accel-window is only meaningful with -accel anderson")

@@ -24,6 +24,7 @@ func TestAccelFlagValidation(t *testing.T) {
 	}{
 		{"unknown scheme", []string{"-accel", "psychic"}, "acceleration"},
 		{"negative window", []string{"-accel", "anderson", "-accel-window", "-1"}, "non-negative"},
+		{"window above the limit", []string{"-accel", "anderson", "-accel-window", "100000"}, "at most"},
 		{"window without anderson", []string{"-accel-window", "3"}, "anderson"},
 	} {
 		_, _, err := runFigures(t, tc.args...)

@@ -23,6 +23,7 @@ import (
 	"strings"
 
 	"kncube"
+	"kncube/internal/fixpoint"
 	"kncube/internal/telemetry"
 )
 
@@ -52,7 +53,7 @@ func run(args []string, stdout, stderr io.Writer) (retErr error) {
 		// Fixed-point iteration knobs (DESIGN.md §10). "none" keeps the
 		// damped baseline bit-identical to an unset flag.
 		accel    = fs.String("accel", "none", "fixed-point acceleration scheme: none, anderson, aitken")
-		accelWin = fs.Int("accel-window", 0, "Anderson mixing window, past residual differences combined per round (0 = solver default; requires -accel anderson)")
+		accelWin = fs.Int("accel-window", 0, fmt.Sprintf("Anderson mixing window, past residual differences combined per round (0 = solver default, at most %d; requires -accel anderson)", fixpoint.MaxWindow))
 		// Observability (DESIGN.md §7).
 		logFormat  = fs.String("log-format", "text", "structured log format for diagnostics: text or json")
 		traceOut   = fs.String("trace-out", "", "directory for per-solve convergence traces (one JSONL file per solve)")
@@ -114,8 +115,8 @@ func run(args []string, stdout, stderr io.Writer) (retErr error) {
 	if err != nil {
 		return fmt.Errorf("-accel: %w", err)
 	}
-	if *accelWin < 0 {
-		return fmt.Errorf("-accel-window must be non-negative, got %d", *accelWin)
+	if *accelWin < 0 || *accelWin > fixpoint.MaxWindow {
+		return fmt.Errorf("-accel-window must be non-negative and at most %d, got %d", fixpoint.MaxWindow, *accelWin)
 	}
 	if *accelWin > 0 && scheme != kncube.AccelAnderson {
 		return fmt.Errorf("-accel-window is only meaningful with -accel anderson")

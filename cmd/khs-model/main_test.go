@@ -197,6 +197,7 @@ func TestAccelFlagValidation(t *testing.T) {
 	}{
 		{"unknown scheme", []string{"-accel", "psychic"}},
 		{"negative window", []string{"-accel", "anderson", "-accel-window", "-1"}},
+		{"window above the limit", []string{"-accel", "anderson", "-accel-window", "100000"}},
 		{"window without anderson", []string{"-accel-window", "3"}},
 	} {
 		if _, _, err := runCLI(t, append(tc.extra, point...)...); err == nil {

@@ -129,8 +129,13 @@ func TestAccelerationOptionValidation(t *testing.T) {
 	if _, err := Solve([]float64{0}, ok, Options{Acceleration: AccelAnderson, Window: -1}); err == nil {
 		t.Error("negative Window accepted")
 	}
-	if _, err := Solve([]float64{0}, ok, Options{Acceleration: AccelAnderson, Window: 2}); err != nil {
-		t.Errorf("explicit Window rejected: %v", err)
+	if _, err := Solve([]float64{0}, ok, Options{Acceleration: AccelAnderson, Window: MaxWindow + 1}); err == nil {
+		t.Error("Window above MaxWindow accepted")
+	}
+	for _, w := range []int{2, MaxWindow} {
+		if _, err := Solve([]float64{0}, ok, Options{Acceleration: AccelAnderson, Window: w}); err != nil {
+			t.Errorf("explicit Window %d rejected: %v", w, err)
+		}
 	}
 }
 

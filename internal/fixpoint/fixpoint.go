@@ -116,8 +116,8 @@ type Options struct {
 	// but never destabilise it.
 	Acceleration Acceleration
 	// Window is the Anderson mixing depth — how many past residual
-	// differences the least-squares extrapolation combines. 0 means 5.
-	// Ignored unless Acceleration is AccelAnderson.
+	// differences the least-squares extrapolation combines. 0 means 5; at
+	// most MaxWindow. Ignored unless Acceleration is AccelAnderson.
 	Window int
 	// Trace, when non-nil, is called once per substitution round after the
 	// state update (and once more, with NonFiniteIndex set, when a round
@@ -138,6 +138,13 @@ func Defaults() Options {
 
 // defaultWindow is the Anderson mixing depth when Options.Window is 0.
 const defaultWindow = 5
+
+// MaxWindow is the largest accepted Options.Window. Anderson's scratch is
+// 2·Window state-sized columns plus 2·Window² matrix entries per Solve, so the
+// window must be bounded before it reaches an allocation; least squares
+// over more than a few dozen near-collinear residual differences gains
+// nothing in conditioning or rounds.
+const MaxWindow = 32
 
 func (o Options) withDefaults() (Options, error) {
 	d := Defaults()
@@ -169,8 +176,8 @@ func (o Options) withDefaults() (Options, error) {
 	if o.Acceleration < AccelNone || o.Acceleration > AccelAitken {
 		return o, fmt.Errorf("fixpoint: unknown acceleration scheme %d", o.Acceleration)
 	}
-	if o.Window < 1 {
-		return o, fmt.Errorf("fixpoint: Window %d < 1", o.Window)
+	if o.Window < 1 || o.Window > MaxWindow {
+		return o, fmt.Errorf("fixpoint: Window %d outside [1, %d]", o.Window, MaxWindow)
 	}
 	return o, nil
 }
@@ -362,8 +369,9 @@ func Solve(state []float64, f Map, opts Options) (Convergence, error) {
 }
 
 // accelState carries the history an extrapolation scheme keeps between
-// rounds: recent iterates and map values for Anderson, the last two damped
-// iterates for Aitken, and the previous round's residual for the safeguard.
+// rounds: residual differences and their Gram matrix for Anderson, the last
+// two damped iterates for Aitken, and the previous round's residual for the
+// safeguard. All of it is sized once, in newAccelState.
 type accelState struct {
 	mode Acceleration
 	beta float64 // mixing/damping factor
@@ -374,35 +382,49 @@ type accelState struct {
 	prevRes float64
 	hasPrev bool
 
-	// Anderson history: the most recent iterates and their map values,
-	// oldest first, at most window+1 entries. Backing storage is recycled.
-	window int
-	xs, fs [][]float64
-	spare  [][]float64
-
-	// Aitken chain: the last one or two consecutive post-damped-step
-	// states (p1, p2 with p2 = G(p1)); an accelerated round or a safeguard
-	// rejection breaks the chain.
-	chain [][]float64
-
 	// cand receives the extrapolated candidate state; keeping it separate
 	// from the caller's buffers leaves F(x) intact for rollback.
 	cand []float64
 
-	// Anderson normal-equation scratch.
-	gram []float64
-	rhs  []float64
+	// Anderson history. x and g = F(x) - x belong to the newest iterate
+	// (valid when hasX); dx and dg hold a ring of window column slots of
+	// length n, and the m kept columns Δx_j, Δg_j (j = 0 oldest) are the
+	// differences between consecutive iterates, column j in slot
+	// (head+j) % window. gram holds Δg_jᵀΔg_k for the kept columns in
+	// column order (row stride window); each entry is computed once, when
+	// its newer column is pushed.
+	window  int
+	hasX    bool
+	x, g    []float64
+	dx, dg  []float64
+	head, m int
+	gram    []float64
+	// Per-round normal-equation scratch: chol receives a regularised m×m
+	// copy of gram (row stride m) for the Cholesky solve, rhs the
+	// right-hand side and then the coefficients γ.
+	chol, rhs []float64
+
+	// Aitken chain: the last chainLen ≤ 2 consecutive post-damped-step
+	// states, older first (p[1] = G(p[0])); an accelerated round or a
+	// safeguard rejection breaks the chain.
+	p        [2][]float64
+	chainLen int
 }
 
 func newAccelState(mode Acceleration, window int, beta float64, n int) *accelState {
-	return &accelState{ //lint:ignore hotalloc accelerator state is built once per Solve
-		mode:   mode,
-		beta:   beta,
-		window: window,
-		cand:   make([]float64, n),             //lint:ignore hotalloc accelerator state is built once per Solve
-		gram:   make([]float64, window*window), //lint:ignore hotalloc accelerator state is built once per Solve
-		rhs:    make([]float64, window),        //lint:ignore hotalloc accelerator state is built once per Solve
+	a := &accelState{mode: mode, beta: beta, window: window} //lint:ignore hotalloc accelerator state is built once per Solve
+	switch mode {
+	case AccelAnderson:
+		vecs := make([]float64, (3+2*window)*n) //lint:ignore hotalloc accelerator state is built once per Solve
+		a.cand, a.x, a.g = vecs[:n], vecs[n:2*n], vecs[2*n:3*n]
+		a.dx, a.dg = vecs[3*n:(3+window)*n], vecs[(3+window)*n:]
+		mats := make([]float64, 2*window*window+window) //lint:ignore hotalloc accelerator state is built once per Solve
+		a.gram, a.chol, a.rhs = mats[:window*window], mats[window*window:2*window*window], mats[2*window*window:]
+	case AccelAitken:
+		vecs := make([]float64, 3*n) //lint:ignore hotalloc accelerator state is built once per Solve
+		a.cand, a.p[0], a.p[1] = vecs[:n], vecs[n:2*n], vecs[2*n:]
 	}
+	return a
 }
 
 // resNorm is the residual measure used by the safeguard: the maximum
@@ -469,49 +491,78 @@ func (a *accelState) observeDamped(state []float64) {
 	if a.mode != AccelAitken {
 		return
 	}
-	if len(a.chain) == 2 {
-		a.chain[0], a.chain[1] = a.chain[1], a.chain[0]
-		copy(a.chain[1], state)
+	if a.chainLen == 2 {
+		a.p[0], a.p[1] = a.p[1], a.p[0]
+		copy(a.p[1], state)
 		return
 	}
-	a.chain = append(a.chain, append(a.take(len(state))[:0], state...)) //lint:ignore hotalloc window-bounded history entry drawn from the recycled spare pool
+	copy(a.p[a.chainLen], state)
+	a.chainLen++
 }
 
 // reset drops all extrapolation history (safeguard rejection).
 func (a *accelState) reset() {
-	for _, v := range a.xs {
-		a.spare = append(a.spare, v) //lint:ignore hotalloc spare pool growth is bounded by window+1 recycled vectors
-	}
-	for _, v := range a.fs {
-		a.spare = append(a.spare, v) //lint:ignore hotalloc spare pool growth is bounded by window+1 recycled vectors
-	}
-	for _, v := range a.chain {
-		a.spare = append(a.spare, v) //lint:ignore hotalloc spare pool growth is bounded by window+1 recycled vectors
-	}
-	a.xs, a.fs, a.chain = a.xs[:0], a.fs[:0], a.chain[:0]
+	a.hasX = false
+	a.head, a.m = 0, 0
+	a.chainLen = 0
 }
 
-// take returns a recycled or fresh length-n vector.
-func (a *accelState) take(n int) []float64 {
-	if k := len(a.spare); k > 0 {
-		v := a.spare[k-1]
-		a.spare = a.spare[:k-1]
-		return v[:n]
-	}
-	return make([]float64, n) //lint:ignore hotalloc fresh vector only until the spare pool warms up
+// col returns Anderson column j (0 = oldest) of the ring buf (a.dx or a.dg).
+func (a *accelState) col(buf []float64, j int) []float64 {
+	n := len(a.cand)
+	s := (a.head + j) % a.window * n
+	return buf[s : s+n]
 }
 
-// push appends copies of (x, fx) to the Anderson history, trimming it to
-// window+1 entries.
+// push records the iterate x with map value fx. From the second iterate on
+// it appends the difference columns Δx, Δg to the newest iterate, evicting
+// the oldest column once window are kept, and extends the Gram matrix by
+// the new column's dot products with the kept columns. The same passes
+// leave rhs[j] = Δg_jᵀg for the current residual g in every column, so
+// rhs is ready for the normal equations.
 func (a *accelState) push(x, fx []float64) {
-	a.xs = append(a.xs, append(a.take(len(x))[:0], x...))   //lint:ignore hotalloc window-bounded history entry drawn from the recycled spare pool
-	a.fs = append(a.fs, append(a.take(len(fx))[:0], fx...)) //lint:ignore hotalloc window-bounded history entry drawn from the recycled spare pool
-	if len(a.xs) > a.window+1 {
-		a.spare = append(a.spare, a.xs[0], a.fs[0]) //lint:ignore hotalloc evicted history entries return to the spare pool
-		copy(a.xs, a.xs[1:])
-		copy(a.fs, a.fs[1:])
-		a.xs = a.xs[:len(a.xs)-1]
-		a.fs = a.fs[:len(a.fs)-1]
+	if !a.hasX {
+		for i := range x {
+			a.g[i] = fx[i] - x[i]
+		}
+		copy(a.x, x)
+		a.hasX = true
+		return
+	}
+	w := a.window
+	if a.m == w {
+		// Evict column 0: its slot takes the new column, and the Gram
+		// matrix of the remaining columns moves up and to the left.
+		a.head = (a.head + 1) % w
+		a.m--
+		for r := 0; r < a.m; r++ {
+			copy(a.gram[r*w:r*w+a.m], a.gram[(r+1)*w+1:(r+1)*w+1+a.m])
+		}
+	}
+	c := a.m
+	a.m++
+	dx, dg := a.col(a.dx, c), a.col(a.dg, c)
+	xs, gs := a.x, a.g
+	cc, cr := 0.0, 0.0
+	for i := range x {
+		gi := fx[i] - x[i]
+		dx[i] = x[i] - xs[i]
+		d := gi - gs[i]
+		dg[i] = d
+		xs[i], gs[i] = x[i], gi
+		cc += d * d
+		cr += d * gi
+	}
+	a.gram[c*w+c], a.rhs[c] = cc, cr
+	for j := 0; j < c; j++ {
+		dj := a.col(a.dg, j)
+		s, r := 0.0, 0.0
+		for i, d := range dj {
+			s += d * dg[i]
+			r += d * gs[i]
+		}
+		a.gram[j*w+c], a.gram[c*w+j] = s, s
+		a.rhs[j] = r
 	}
 }
 
@@ -522,64 +573,60 @@ func (a *accelState) push(x, fx []float64) {
 // with γ the least-squares combination of the stored residual differences
 // Δg_j that best cancels the current residual. The candidate is written to
 // a.cand; a singular system or non-finite candidate rejects the round.
+//
+// The Gram matrix is maintained incrementally by push, so a round costs
+// O(m·n): one fused pass per column for its Gram row and right-hand side,
+// and one axpy per column for the candidate. Every Gram entry, rhs entry
+// and candidate component is the same sum, in the same order, of the same
+// values as a from-scratch rebuild, so the results are bit-identical to it.
 func (a *accelState) anderson(state, fx []float64) bool {
 	a.push(state, fx)
-	m := len(a.xs) - 1 // number of difference columns
+	m := a.m
 	if m < 1 {
 		return false
 	}
-	n := len(state)
-	//lint:ignore hotalloc non-escaping difference helper, inlined into the normal-equation loops
-	dg := func(j, i int) float64 { // Δg_j at component i
-		return (a.fs[j+1][i] - a.xs[j+1][i]) - (a.fs[j][i] - a.xs[j][i])
-	}
-	//lint:ignore hotalloc non-escaping residual helper, inlined into the normal-equation loops
-	gcur := func(i int) float64 { // current residual g at component i
-		return a.fs[m][i] - a.xs[m][i]
-	}
 	// Normal equations Aγ = b with Tikhonov regularisation scaled to the
 	// Gram diagonal, so near-collinear histories stay solvable.
-	gram, rhs := a.gram[:m*m], a.rhs[:m]
+	w := a.window
 	diag := 0.0
 	for j := 0; j < m; j++ {
-		for k := j; k < m; k++ {
-			s := 0.0
-			for i := 0; i < n; i++ {
-				s += dg(j, i) * dg(k, i)
-			}
-			gram[j*m+k], gram[k*m+j] = s, s
-		}
-		diag += gram[j*m+j]
-		s := 0.0
-		for i := 0; i < n; i++ {
-			s += dg(j, i) * gcur(i)
-		}
-		rhs[j] = s
+		diag += a.gram[j*w+j]
 	}
 	reg := 1e-12 * diag / float64(m)
 	if reg <= 0 || math.IsNaN(reg) || math.IsInf(reg, 0) {
 		a.reset()
 		return false
 	}
+	chol := a.chol[:m*m]
 	for j := 0; j < m; j++ {
-		gram[j*m+j] += reg
+		copy(chol[j*m:j*m+m], a.gram[j*w:j*w+m])
+		chol[j*m+j] += reg
 	}
-	gamma, ok := solveSPD(gram, rhs, m)
+	gamma, ok := solveSPD(chol, a.rhs[:m], m)
 	if !ok {
 		a.reset()
 		return false
 	}
-	for i := 0; i < n; i++ {
-		v := a.xs[m][i] + a.beta*gcur(i)
-		for j := 0; j < m; j++ {
-			dx := a.xs[j+1][i] - a.xs[j][i]
-			v -= gamma[j] * (dx + a.beta*dg(j, i))
+	cand, x, g, beta := a.cand, a.x, a.g, a.beta
+	for j := 0; j < m; j++ {
+		dx, dg, gj := a.col(a.dx, j), a.col(a.dg, j), gamma[j]
+		if j == 0 {
+			for i := range cand {
+				v := x[i] + beta*g[i]
+				v -= gj * (dx[i] + beta*dg[i])
+				cand[i] = v
+			}
+			continue
 		}
+		for i := range cand {
+			cand[i] -= gj * (dx[i] + beta*dg[i])
+		}
+	}
+	for _, v := range cand {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			a.reset()
 			return false
 		}
-		a.cand[i] = v
 	}
 	return true
 }
@@ -591,10 +638,10 @@ func (a *accelState) anderson(state, fx []float64) bool {
 // the correction would be ill-conditioned — keep the damped value. The
 // candidate is written to a.cand.
 func (a *accelState) aitken(state, fx []float64) bool {
-	if len(a.chain) < 2 {
+	if a.chainLen < 2 {
 		return false
 	}
-	p1 := a.chain[0]
+	p1 := a.p[0]
 	for i := range state {
 		p3 := (1-a.beta)*state[i] + a.beta*fx[i]
 		d2 := state[i] - p1[i]

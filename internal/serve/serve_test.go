@@ -197,6 +197,8 @@ func TestSolveValidationIsStructured(t *testing.T) {
 			Options: &SolveOptions{Acceleration: "psychic"}}, "options.acceleration"},
 		{"negative anderson window", SolveRequest{K: 16, V: 2, Lm: 32, H: 0.2, Lambda: 1e-4,
 			Options: &SolveOptions{Acceleration: "anderson", AndersonWindow: -1}}, "options.anderson_window"},
+		{"anderson window above the limit", SolveRequest{K: 16, V: 2, Lm: 32, H: 0.2, Lambda: 1e-4,
+			Options: &SolveOptions{Acceleration: "anderson", AndersonWindow: 100000}}, "options.anderson_window"},
 		{"window without anderson", SolveRequest{K: 16, V: 2, Lm: 32, H: 0.2, Lambda: 1e-4,
 			Options: &SolveOptions{AndersonWindow: 3}}, "options.anderson_window"},
 		{"unknown json field", map[string]any{"k": 16, "v": 2, "lm": 32, "h": 0.2, "lambda": 1e-4, "kk": 1}, "body"},
